@@ -9,33 +9,40 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"knemesis/internal/experiments"
 	"knemesis/internal/nas"
-	"knemesis/internal/topo"
 )
 
 func main() {
-	var (
-		kernelName = flag.String("kernel", "all", "kernel name (e.g. is.B.8) or 'all'")
-		machine    = flag.String("machine", "e5345", "e5345|x5460|nehalem")
-		scale      = flag.Int("scale", 1, "divide iteration counts by this factor")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) { // -h has printed the usage
+		fmt.Fprintln(os.Stderr, "nas:", err)
+		os.Exit(1)
+	}
+}
 
-	var m *topo.Machine
-	switch *machine {
-	case "e5345":
-		m = topo.XeonE5345()
-	case "x5460":
-		m = topo.XeonX5460()
-	case "nehalem":
-		m = topo.NehalemStyle()
-	default:
-		fail(fmt.Errorf("unknown machine %q", *machine))
+// run is the testable entry point: it parses args, runs the selected
+// kernels through the Table 1 pipeline and renders the table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("nas", flag.ContinueOnError)
+	var (
+		kernelName = fs.String("kernel", "all", "kernel name (e.g. is.B.8) or 'all'")
+		machine    = fs.String("machine", "e5345", strings.Join(experiments.MachineNames(), "|"))
+		scale      = fs.Int("scale", 1, "divide iteration counts by this factor")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	m, err := experiments.MachineByName(*machine)
+	if err != nil {
+		return err
 	}
 
 	var kernels []nas.Kernel
@@ -44,7 +51,7 @@ func main() {
 	} else {
 		k, ok := nas.KernelByName(*kernelName)
 		if !ok {
-			fail(fmt.Errorf("unknown kernel %q (try is.B.8, ft.B.8, ...)", *kernelName))
+			return fmt.Errorf("unknown kernel %q (try is.B.8, ft.B.8, ...)", *kernelName)
 		}
 		kernels = []nas.Kernel{k}
 	}
@@ -56,12 +63,8 @@ func main() {
 
 	tab, _, err := experiments.Table1(m, kernels)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	experiments.RenderTable(os.Stdout, tab)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "nas:", err)
-	os.Exit(1)
+	experiments.RenderTable(stdout, tab)
+	return nil
 }

@@ -33,6 +33,9 @@ type JobSpec struct {
 	// RTMode selects the real runtime's large-message strategy: "eager",
 	// "single-copy" or "offload" (rt only; "" = "single-copy").
 	RTMode string
+	// RTProcs is how many Ps the real runtime may treat as the job's own
+	// (rt only; 0 = GOMAXPROCS): see rt.Config.Procs.
+	RTProcs int
 
 	// Topology describes a multi-node cluster (nil = single node). When
 	// the placement spans more than one node, the simulator routes

@@ -30,6 +30,10 @@ type Env struct {
 	// byte-identical at any width: every stack is a self-contained
 	// deterministic simulation and results land in index-addressed slots.
 	Workers int
+
+	// RTProcs is how many Ps the wall-clock rt jobs may treat as their
+	// own (0 = GOMAXPROCS; see comm.JobSpec.RTProcs).
+	RTProcs int
 }
 
 // DefaultEnv returns the full-scale evaluation setup of the paper on m.

@@ -222,7 +222,7 @@ func rtBench(ctx context.Context, env Env) (rtResult, error) {
 				return res, fmt.Errorf("experiments: cut after %d/%d cases: %w",
 					done, len(benches)*len(rt.ModeNames()), err)
 			}
-			job, err := comm.NewJob("rt", comm.JobSpec{Ranks: b.ranks, RTMode: mode})
+			job, err := comm.NewJob("rt", comm.JobSpec{Ranks: b.ranks, RTMode: mode, RTProcs: env.RTProcs})
 			if err != nil {
 				return res, err
 			}

@@ -143,8 +143,9 @@ func skewRTArms() []SkewArm {
 // skewFastbox streams bursts of fastbox-sized messages through a real rt
 // job under one arm and reports the fastbox hit rate. Burst traffic keeps
 // the single-slot fastbox contended, so a skewed receiver visibly shifts
-// the split between fastbox and shared-queue delivery.
-func skewFastbox(ctx context.Context, arm SkewArm) (SkewRTRow, error) {
+// the split between fastbox and shared-queue delivery. procs is
+// Env.RTProcs.
+func skewFastbox(ctx context.Context, arm SkewArm, procs int) (SkewRTRow, error) {
 	specs, err := perturb.ParseList(arm.Spec)
 	if err != nil {
 		return SkewRTRow{}, err
@@ -153,6 +154,7 @@ func skewFastbox(ctx context.Context, arm SkewArm) (SkewRTRow, error) {
 		Ranks:         2,
 		Perturbations: specs,
 		Seed:          skewSeed,
+		RTProcs:       procs,
 	})
 	if err != nil {
 		return SkewRTRow{}, err
@@ -264,7 +266,7 @@ func skew(ctx context.Context, env Env) (skewResult, error) {
 			return res, fmt.Errorf("experiments: cut after %d/%d rt arms: %w",
 				i, len(skewRTArms()), err)
 		}
-		row, err := skewFastbox(ctx, arm)
+		row, err := skewFastbox(ctx, arm, env.RTProcs)
 		if err != nil {
 			return res, fmt.Errorf("skew rt %s: %w", arm.Name, err)
 		}

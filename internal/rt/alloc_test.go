@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -11,18 +12,24 @@ import (
 // This is the property the PR 5 fast path exists for — the Go allocator is
 // no longer on the message path, just as Nemesis keeps malloc out of its.
 //
-// Sizes cover both small-message paths: ≤ FastboxBytes rides the per-pair
-// fastbox, larger eager sizes ride pooled envelopes through the shared
-// queue (64 KiB is the largest default-eager payload).
+// Sizes sit on the path boundaries: up to FastboxBytes rides the per-pair
+// fastbox, one byte more rides pooled envelopes through the shared queue,
+// and 64 KiB is the largest default-eager payload (64 B and 4 KiB are the
+// benchmark's ping-pong sizes). Each size also checks which path it took,
+// so the gate covers both.
 func TestEagerPingPongZeroAlloc(t *testing.T) {
-	for _, size := range []int{0, 64, 1024, 4096, 64 * 1024} {
+	sizes := []int{0, 64, defaultFastboxBytes, defaultFastboxBytes + 1, 4096, 64 * 1024}
+	for _, size := range sizes {
 		size := size
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
 			w := NewWorld(2, Config{Large: SingleCopy})
 			defer w.Close()
 			start := make(chan struct{})
 			done := make(chan struct{})
+			var ranks sync.WaitGroup
+			ranks.Add(2)
 			go func() {
+				defer ranks.Done()
 				r := w.Rank(0)
 				buf := make([]byte, size)
 				for range start {
@@ -33,6 +40,7 @@ func TestEagerPingPongZeroAlloc(t *testing.T) {
 				r.Send(1, 1, nil) // sentinel: stop the echo rank
 			}()
 			go func() {
+				defer ranks.Done()
 				r := w.Rank(1)
 				buf := make([]byte, size)
 				for {
@@ -65,6 +73,16 @@ func TestEagerPingPongZeroAlloc(t *testing.T) {
 				t.Errorf("eager ping-pong at %d bytes allocates %.2f allocs/op, want 0", size, avg)
 			}
 			close(start)
+			ranks.Wait()
+			// Rank 1 echoes every payload, so its counters tell which
+			// path the measured messages took.
+			st := w.Rank(1).stats
+			if size <= defaultFastboxBytes && st.fastbox != st.eager {
+				t.Errorf("%d bytes: %d of %d echoes took the fastbox, want all", size, st.fastbox, st.eager)
+			}
+			if size > defaultFastboxBytes && st.fastbox != 0 {
+				t.Errorf("%d bytes: %d echoes took the fastbox, want none", size, st.fastbox)
+			}
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -121,6 +122,68 @@ func BenchmarkRTMsgRate(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					r.Recv(0, 0, buf1)
 					r.Send(0, 0, buf1)
+				}
+			}()
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(2*float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+		})
+	}
+}
+
+// floorSlot is one direction of BenchmarkRTFloor's ping-pong: a flag
+// with the payload inline behind it, the fastbox layout without any of
+// the runtime around it.
+type floorSlot struct {
+	full atomic.Uint32
+	_    uint32
+	data [4096]byte
+}
+
+// BenchmarkRTFloor measures what a small-message ping-pong costs on the
+// host it runs on with no runtime at all: two goroutines, one slot per
+// direction, copy in, raise the flag, poll it, copy out, lower it. It is
+// the floor BenchmarkRTMsgRate can approach at the same sizes (one op is a
+// round trip, two messages). The poll is bare on a multi-P runtime and
+// yields on a single P, as rt's Wait does.
+func BenchmarkRTFloor(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"64B", 64}, {"4KiB", 4096}} {
+		b.Run(size.name, func(b *testing.B) {
+			yield := runtime.GOMAXPROCS(0) == 1
+			ping, pong := new(floorSlot), new(floorSlot)
+			await := func(s *floorSlot) {
+				for s.full.Load() == 0 {
+					if yield {
+						runtime.Gosched()
+					}
+				}
+			}
+			buf0 := make([]byte, size.n)
+			buf1 := make([]byte, size.n)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			b.ResetTimer()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < b.N; i++ {
+					copy(ping.data[:], buf0)
+					ping.full.Store(1)
+					await(pong)
+					copy(buf0, pong.data[:size.n])
+					pong.full.Store(0)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < b.N; i++ {
+					await(ping)
+					copy(buf1, ping.data[:size.n])
+					ping.full.Store(0)
+					copy(pong.data[:], buf1)
+					pong.full.Store(1)
 				}
 			}()
 			wg.Wait()

@@ -25,7 +25,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			cfg := Config{Large: mode, RndvThreshold: int(spec.EagerMax)}
+			cfg := Config{Large: mode, RndvThreshold: int(spec.EagerMax), Procs: spec.RTProcs}
 			if cfg.RndvThreshold > defaultCellBytes {
 				// withDefaults clamps the threshold to the cell size, so
 				// an above-default EagerMax must grow the cells with it.

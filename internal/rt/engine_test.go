@@ -19,14 +19,18 @@ func TestConfigWithDefaults(t *testing.T) {
 		wantThresh        int
 		wantCells         int
 		wantCopiersAtMin1 bool // Copiers derived from NumCPU (>= 1)
+		wantFastbox       int
 	}{
-		{"all-zero", Config{}, k64, k64, true},
-		{"threshold-below-cell", Config{RndvThreshold: 1024}, 1024, k64, true},
-		{"threshold-at-cell", Config{RndvThreshold: k64}, k64, k64, true},
-		{"threshold-above-cell-clamps", Config{RndvThreshold: 2 * k64}, k64, k64, true},
-		{"custom-cell-raises-clamp", Config{RndvThreshold: 2 * k64, CellBytes: 4 * k64}, 2 * k64, 4 * k64, true},
-		{"tiny-cell-clamps-threshold", Config{RndvThreshold: 512, CellBytes: 256}, 256, 256, true},
-		{"explicit-copiers", Config{Copiers: 7}, k64, k64, false},
+		{"all-zero", Config{}, k64, k64, true, defaultFastboxBytes},
+		{"threshold-below-cell", Config{RndvThreshold: 1024}, 1024, k64, true, defaultFastboxBytes},
+		{"threshold-at-cell", Config{RndvThreshold: k64}, k64, k64, true, defaultFastboxBytes},
+		{"threshold-above-cell-clamps", Config{RndvThreshold: 2 * k64}, k64, k64, true, defaultFastboxBytes},
+		{"custom-cell-raises-clamp", Config{RndvThreshold: 2 * k64, CellBytes: 4 * k64}, 2 * k64, 4 * k64, true, defaultFastboxBytes},
+		{"tiny-cell-clamps-threshold", Config{RndvThreshold: 512, CellBytes: 256}, 256, 256, true, 256},
+		{"explicit-copiers", Config{Copiers: 7}, k64, k64, false, defaultFastboxBytes},
+		{"fastbox-disabled", Config{FastboxBytes: -1}, k64, k64, true, 0},
+		{"fastbox-lowered", Config{FastboxBytes: 64}, k64, k64, true, 64},
+		{"fastbox-clamps-to-inline", Config{FastboxBytes: k64}, k64, k64, true, fastboxInline},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,6 +40,9 @@ func TestConfigWithDefaults(t *testing.T) {
 			}
 			if got.CellBytes != tc.wantCells {
 				t.Errorf("CellBytes = %d, want %d", got.CellBytes, tc.wantCells)
+			}
+			if got.FastboxBytes != tc.wantFastbox {
+				t.Errorf("FastboxBytes = %d, want %d", got.FastboxBytes, tc.wantFastbox)
 			}
 			if tc.wantCopiersAtMin1 {
 				want := runtime.NumCPU() / 4

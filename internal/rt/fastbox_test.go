@@ -2,18 +2,126 @@ package rt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
+
+	"knemesis/internal/comm"
 )
 
-// The fastbox padding only isolates neighbouring boxes if the struct size
-// is a whole number of cache lines — otherwise one box's state word shares
-// a line with the previous box's payload fields and two senders
-// false-share it.
+// A fastbox delivery moves the lines its message occupies and nothing
+// else: the flag, seq, tag and length share the first cache line with the
+// start of the inline payload, the slot is a whole number of lines (so one
+// box's flag never shares a line with its neighbour's payload), the inline
+// payload holds the default cap, and every inbox starts on a line
+// boundary.
 func TestFastboxLineAligned(t *testing.T) {
-	if size := unsafe.Sizeof(fastbox{}); size%64 != 0 {
-		t.Errorf("fastbox is %d bytes, not a multiple of the 64-byte cache line", size)
+	var fb fastbox
+	if size := unsafe.Sizeof(fb); size%cacheLine != 0 {
+		t.Errorf("fastbox is %d bytes, not a multiple of the %d-byte cache line", size, cacheLine)
+	}
+	for name, end := range map[string]uintptr{
+		"state": unsafe.Offsetof(fb.state) + unsafe.Sizeof(fb.state),
+		"seq":   unsafe.Offsetof(fb.seq) + unsafe.Sizeof(fb.seq),
+		"tag":   unsafe.Offsetof(fb.tag) + unsafe.Sizeof(fb.tag),
+		"n":     unsafe.Offsetof(fb.n) + unsafe.Sizeof(fb.n),
+	} {
+		if end > cacheLine {
+			t.Errorf("fastbox.%s ends at byte %d, outside the flag's cache line", name, end)
+		}
+	}
+	if off := unsafe.Offsetof(fb.data); off != fastboxHeader {
+		t.Errorf("inline payload starts at byte %d, want %d", off, fastboxHeader)
+	}
+	if len(fb.data) < defaultFastboxBytes {
+		t.Errorf("inline payload holds %d bytes, below the %d-byte default cap", len(fb.data), defaultFastboxBytes)
+	}
+	for _, n := range []int{1, 2, 3, 8} {
+		w := NewWorld(n, Config{})
+		for r := 0; r < n; r++ {
+			if addr := uintptr(unsafe.Pointer(&w.Rank(r).inbox[0])); addr%cacheLine != 0 {
+				t.Errorf("%d ranks: rank %d's inbox starts at %#x, not on a cache line", n, r, addr)
+			}
+		}
+		w.Close()
+	}
+}
+
+// What senders write — the queue heads, the envelope pool's head, the
+// sleeping flag they read on every send — never shares a cache line with
+// what the owner writes on every operation, whatever the struct's base
+// alignment.
+func TestRankSharedStateSeparated(t *testing.T) {
+	var r Rank
+	type span struct {
+		name     string
+		off, len uintptr
+	}
+	qOff, fOff := unsafe.Offsetof(r.q), unsafe.Offsetof(r.freeq)
+	shared := []span{
+		{"sleeping", unsafe.Offsetof(r.sleeping), unsafe.Sizeof(r.sleeping)},
+		{"q.head+stub", qOff, unsafe.Offsetof(r.q.stub) + unsafe.Sizeof(r.q.stub)},
+		{"freeq.head+stub", fOff, unsafe.Offsetof(r.freeq.stub) + unsafe.Sizeof(r.freeq.stub)},
+	}
+	private := []span{
+		{"q.tail", qOff + unsafe.Offsetof(r.q.tail), unsafe.Sizeof(r.q.tail)},
+		{"freeq.tail", fOff + unsafe.Offsetof(r.freeq.tail), unsafe.Sizeof(r.freeq.tail)},
+		{"postedN", unsafe.Offsetof(r.postedN), unsafe.Sizeof(r.postedN)},
+		{"unexpN", unsafe.Offsetof(r.unexpN), unsafe.Sizeof(r.unexpN)},
+		{"parkReason", unsafe.Offsetof(r.parkReason), unsafe.Sizeof(r.parkReason)},
+		{"stats", unsafe.Offsetof(r.stats), unsafe.Sizeof(r.stats)},
+	}
+	// Two byte ranges can never share a line iff the last byte of the
+	// lower one is at least a line below the first byte of the upper.
+	apart := func(a, b span) bool {
+		if a.off > b.off {
+			a, b = b, a
+		}
+		return b.off >= a.off+a.len-1+cacheLine
+	}
+	for _, s := range shared {
+		for _, p := range private {
+			if !apart(s, p) {
+				t.Errorf("%s [%d,+%d) may share a cache line with %s [%d,+%d)",
+					s.name, s.off, s.len, p.name, p.off, p.len)
+			}
+		}
+	}
+}
+
+// Each rank writes its per-peer sequence counters and stream state on
+// every message. NewWorld allocates all ranks from one goroutine, so
+// unpadded, these small slices would land on the same cache lines as the
+// neighbouring ranks' ones.
+func TestRankSlicesOwnTheirLines(t *testing.T) {
+	type span struct {
+		rank      int
+		name      string
+		first, to uintptr // the lines [first, to] the slice touches
+	}
+	lines := func(rank int, name string, p unsafe.Pointer, bytes uintptr) span {
+		a := uintptr(p)
+		return span{rank, name, a / cacheLine, (a + bytes - 1) / cacheLine}
+	}
+	for n := 2; n <= 4; n++ {
+		w := NewWorld(n, Config{})
+		var spans []span
+		for _, r := range w.ranks {
+			spans = append(spans,
+				lines(r.rank, "sendSeq", unsafe.Pointer(&r.sendSeq[0]), uintptr(n)*unsafe.Sizeof(r.sendSeq[0])),
+				lines(r.rank, "recvSeq", unsafe.Pointer(&r.recvSeq[0]), uintptr(n)*unsafe.Sizeof(r.recvSeq[0])),
+				lines(r.rank, "streams", unsafe.Pointer(&r.streams[0]), uintptr(n)*unsafe.Sizeof(r.streams[0])))
+		}
+		for i, a := range spans {
+			for _, b := range spans[i+1:] {
+				if a.rank != b.rank && a.first <= b.to && b.first <= a.to {
+					t.Errorf("%d ranks: rank %d's %s shares a cache line with rank %d's %s",
+						n, a.rank, a.name, b.rank, b.name)
+				}
+			}
+		}
+		w.Close()
 	}
 }
 
@@ -271,5 +379,67 @@ func TestOversizedEagerMatchedMidStream(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The spin policy: Wait may poll bare only when every rank has a P of its
+// own (counting only the Ps Config.Procs grants the world), no offload
+// copiers compete for the Ps, and no rank is parked (a peer this rank just
+// woke must get a chance to run on this P). Every other world yields
+// between passes, as on a single-P runtime.
+func TestSpinPolicy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	world := func(procs, ranks int, cfg Config) *World {
+		runtime.GOMAXPROCS(procs)
+		w := NewWorld(ranks, cfg)
+		t.Cleanup(w.Close)
+		return w
+	}
+	for _, c := range []struct {
+		name         string
+		procs, ranks int
+		cfg          Config
+	}{
+		{"single-P", 1, 2, Config{}},
+		{"ranks-exceed-Ps", 2, 3, Config{}},
+		{"offload", 4, 2, Config{Large: Offload}},
+		{"ranks-exceed-granted-Ps", 4, 2, Config{Procs: 1}},
+		{"grant-above-GOMAXPROCS", 2, 3, Config{Procs: 4}},
+	} {
+		if world(c.procs, c.ranks, c.cfg).Rank(0).busyPoll() {
+			t.Errorf("%s: bare-polls, want yield", c.name)
+		}
+	}
+
+	// The comm engine hands JobSpec.RTProcs to the world.
+	runtime.GOMAXPROCS(2)
+	for _, c := range []struct {
+		procs    int
+		wantPoll bool
+	}{{0, true}, {2, true}, {1, false}} {
+		j, err := comm.NewJob("rt", comm.JobSpec{Ranks: 2, RTProcs: c.procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := j.(*rtJob).w
+		if got := w.Rank(0).busyPoll(); got != c.wantPoll {
+			t.Errorf("2 ranks on 2 Ps, RTProcs %d: bare polling %v, want %v", c.procs, got, c.wantPoll)
+		}
+		w.Close()
+	}
+
+	for _, large := range []LargeMode{Eager, SingleCopy} {
+		w := world(2, 2, Config{Large: large})
+		if !w.Rank(0).busyPoll() {
+			t.Errorf("%s, 2 ranks on 2 Ps: yields, want bare polling", large)
+		}
+		w.Rank(1).sleeping.Store(true) // the peer parks
+		if w.Rank(0).busyPoll() {
+			t.Errorf("%s: bare-polls while its peer is parked, want yield", large)
+		}
+		w.Rank(1).sleeping.Store(false)
+		if !w.Rank(0).busyPoll() {
+			t.Errorf("%s: still yields after its peer unparked", large)
+		}
 	}
 }

@@ -95,10 +95,17 @@ func (q *Queue[T]) Empty() bool {
 // so Push allocates nothing — the property Nemesis gets from placing queue
 // links in its shared-memory cells. The same link threads a rank's envelope
 // free pool, because an envelope is never in both queues at once.
+//
+// Producers write head and, when they find the queue closed on it, the
+// stub's link; the consumer alone writes tail. The padding keeps tail off
+// the producers' lines, and keeps whatever the embedding struct places
+// after the queue off tail's.
 type msgQueue struct {
 	head atomic.Pointer[message] // producers swap the head
-	tail *message                // consumer-owned
 	stub message
+	_    [cacheLine]byte
+	tail *message // consumer-owned
+	_    [cacheLine]byte
 }
 
 // init readies the queue (the zero value is not usable: head must point at

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Matching wildcards.
@@ -69,24 +70,34 @@ type stream struct {
 }
 
 // Rank is one participant; all methods must be called from its goroutine.
+//
+// The fields fall into three groups kept on separate cache lines: what
+// every sender reads (set at construction, plus the rarely written
+// sleeping flag), the two MPSC queues whose heads senders write, and the
+// owner's private state, written on every operation. A sender therefore
+// never misses on a line the owner just wrote for its own bookkeeping, and
+// the owner's receive path never waits on a line senders are swapping.
 type Rank struct {
-	w    *World
-	rank int
+	w     *World
+	rank  int
+	inbox []fastbox // inbox[src]: single-slot mailbox per sender
+	wake  chan struct{}
+	// sleeping is set while the rank parks (or is about to): senders
+	// read it to decide whether to wake the rank, spinning peers to
+	// decide whether bare polling would starve it.
+	sleeping atomic.Bool
+	_        [cacheLine]byte
 
 	q     msgQueue // shared lock-free receive queue (all senders)
 	freeq msgQueue // envelope pool: anyone pushes, only this rank pops
 
-	inbox   []fastbox // inbox[src]: single-slot mailbox per sender
-	sendSeq []uint64  // next sequence number per destination
-	recvSeq []uint64  // next expected sequence number per sender
+	sendSeq []uint64 // next sequence number per destination
+	recvSeq []uint64 // next expected sequence number per sender
 	streams []stream
 
 	posted  postQ
 	unexp   unexpQ
 	reqFree []*Request
-
-	sleeping atomic.Bool
-	wake     chan struct{}
 
 	collSeq int
 
@@ -96,12 +107,26 @@ type Rank struct {
 	// minted counts envelopes this rank has allocated (owner goroutine
 	// only; read post-join by World.EnvelopeAudit).
 	minted int
+	// stats are this rank's protocol-path counters, folded into the
+	// World's after the ranks join.
+	stats rankStats
 
 	// Watchdog diagnostics, readable from any goroutine while the rank
 	// runs (see World.StateDump).
 	postedN    atomic.Int32
 	unexpN     atomic.Int32
 	parkReason atomic.Int32
+
+	// NewWorld allocates the ranks back to back: keep the next rank's
+	// sender-read fields off this rank's private lines.
+	_ [cacheLine]byte
+}
+
+// rankStats counts what one rank sent (and, for bytes moved by a
+// rendezvous, received) per protocol path. Plain fields: only the owning
+// goroutine writes them, so the message path touches no shared counter.
+type rankStats struct {
+	eager, rndv, fastbox, net, bytes int64
 }
 
 func newRank(w *World, rank, n int) *Rank {
@@ -109,17 +134,22 @@ func newRank(w *World, rank, n int) *Rank {
 	r.q.init()
 	r.freeq.init()
 	r.inbox = make([]fastbox, n)
-	if fb := w.cfg.FastboxBytes; fb > 0 {
-		for i := range r.inbox {
-			r.inbox[i].data = make([]byte, fb)
-		}
-	}
-	r.sendSeq = make([]uint64, n)
-	r.recvSeq = make([]uint64, n)
-	r.streams = make([]stream, n)
+	seqs := padded[uint64](2 * n)
+	r.sendSeq, r.recvSeq = seqs[:n:n], seqs[n:]
+	r.streams = padded[stream](n)
 	r.posted.exact = make(map[uint64]*postBucket)
 	r.unexp.exact = make(map[uint64]*msgBucket)
 	return r
+}
+
+// padded allocates a slice of n elements with a cache line of slack on
+// either side. NewWorld builds every rank from one goroutine, so small
+// per-rank slices would otherwise share lines with their neighbours' —
+// and each rank writes its own sequence counters on every message.
+func padded[T any](n int) []T {
+	var zero T
+	pad := (cacheLine + int(unsafe.Sizeof(zero)) - 1) / int(unsafe.Sizeof(zero))
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
 }
 
 // ID returns this rank's index.
@@ -301,7 +331,7 @@ func (r *Rank) pollFastbox(src int) bool {
 	if st&1 == 0 || fb.seq != r.recvSeq[src] {
 		return false
 	}
-	tag, n := fb.tag, fb.n
+	tag, n := int(fb.tag), int(fb.n)
 	r.recvSeq[src]++
 	if req := r.matchPosted(src, tag); req != nil {
 		if n > len(req.dst) {
@@ -428,7 +458,7 @@ func (r *Rank) deliver(m *message, req *Request) {
 		}
 	case mRTS:
 		rv := m.rv
-		r.w.BytesMoved.Add(int64(m.n))
+		r.stats.bytes += int64(m.n)
 		req.rv = rv
 		rv.publishCTS(req.dst[:m.n])
 		if r.w.cfg.Large == Offload {
@@ -471,7 +501,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 	// stream through eager cells, one copy per end, like a NIC ring.
 	cross := r.w.crossNode(r.rank, dst)
 	if cross {
-		r.w.NetMsgs.Add(1)
+		r.stats.net++
 		if d := cfg.CrossDelay; d != nil {
 			if dd := d(len(buf)); dd > 0 {
 				r.sleep(dd)
@@ -479,13 +509,13 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 		}
 	}
 	if cfg.Large == Eager || cross || len(buf) <= cfg.RndvThreshold {
-		r.w.EagerMsgs.Add(1)
-		r.w.BytesMoved.Add(int64(len(buf)))
+		r.stats.eager++
+		r.stats.bytes += int64(len(buf))
 		seq := r.sendSeq[dst]
 		if !cross && cfg.FastboxBytes > 0 && len(buf) <= cfg.FastboxBytes &&
 			target.inbox[r.rank].trySend(seq, tag, buf) {
 			r.sendSeq[dst] = seq + 1
-			r.w.FastboxMsgs.Add(1)
+			r.stats.fastbox++
 			target.wakeUp()
 			req.ready.Store(true)
 			return req
@@ -547,7 +577,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 	}
 	// Rendezvous: the buffer stays pinned (referenced) until the chunked
 	// copy completes.
-	r.w.RndvMsgs.Add(1)
+	r.stats.rndv++
 	rv := newRendezvous(r.w, r.rank, dst, buf)
 	req.rv = rv
 	m := r.getMsg()
@@ -582,8 +612,12 @@ func (r *Rank) Irecv(src, tag int, buf []byte) *Request {
 	return req
 }
 
-// waitSpins is how many progress passes Wait makes before parking.
+// waitSpins is how many yielding progress passes Wait makes before
+// parking (see Rank.busyPoll).
 const waitSpins = 64
+
+// pollSpins is how many bare progress passes Wait makes before parking.
+const pollSpins = 4096
 
 // streamWindow bounds how many in-flight cells one oversized eager send
 // may mint before it must recycle returned envelopes (the finite-cell
@@ -592,18 +626,42 @@ const waitSpins = 64
 // handoff, small enough to stay cache-resident.
 const streamWindow = 16
 
+// busyPoll reports whether a waiting rank may poll with bare loads, the
+// way a Nemesis progress loop polls its fastboxes, instead of yielding
+// the processor between passes. That pays only when every rank has a P of
+// its own to spin on and nothing else needs those Ps. The runtime cannot
+// show a world what else competes for its Ps, so the embedder states its
+// share in Config.Procs. Bare polling requires a world that satisfied
+// World.pollOK at construction and, per pass, that no rank is parked: a
+// peer this rank just woke sits in this P's run-next slot until the
+// scheduler gets a chance to run it, and bare spinning would keep it from
+// ever running here.
+func (r *Rank) busyPoll() bool {
+	if !r.w.pollOK {
+		return false
+	}
+	for _, p := range r.w.ranks {
+		if p.sleeping.Load() {
+			return false
+		}
+	}
+	return true
+}
+
 // Wait blocks until the request completes, progressing the rank meanwhile
 // and retiring the request: each request must be waited exactly once. A
 // waiting rendezvous sender claims copy chunks instead of idling (the
-// dual-copy half of the pipelined transfer). The spin phase yields the
-// processor each pass — on a loaded machine the peer's progress is what
-// completes the request, so burning the core bare-spinning (as the first
-// version did) only delays it.
+// dual-copy half of the pipelined transfer). Otherwise Wait makes a
+// bounded number of progress passes and then parks: up to pollSpins bare
+// ones while busyPoll allows them, and up to waitSpins that yield the
+// processor — on a single-P or oversubscribed runtime the peer's progress
+// is what completes the request, so burning the core only delays it.
 func (r *Rank) Wait(req *Request) Status {
 	if req.owner != r {
 		panic("rt: waiting on another rank's request")
 	}
-	for spins := 0; ; spins++ {
+	polls, yields := 0, 0
+	for {
 		r.checkCancel()
 		r.drain()
 		if req.completed() {
@@ -613,22 +671,27 @@ func (r *Rank) Wait(req *Request) Status {
 		}
 		if rv := req.rv; rv != nil {
 			// A rendezvous waiter either claims chunks (dual-copy on)
-			// or parks outright: yield-spinning would only steal the
+			// or parks outright: spinning would only steal the
 			// processor from whoever is doing the copy.
 			if r.w.cfg.SenderCopy > 0 && req.isSend && rv.helpRemaining() {
 				rv.claimCopy()
-				spins = 0
+				polls, yields = 0, 0
 				continue
 			}
 			r.park(req)
 			continue
 		}
-		if spins < waitSpins {
+		if polls < pollSpins && r.busyPoll() {
+			polls++
+			continue
+		}
+		if yields < waitSpins {
+			yields++
 			runtime.Gosched()
 			continue
 		}
 		r.park(req)
-		spins = 0
+		polls, yields = 0, 0
 	}
 }
 

@@ -55,8 +55,9 @@ type Config struct {
 	// (default 64 KiB).
 	CellBytes int
 	// FastboxBytes caps the per-pair single-slot fastbox payload
-	// (default 1 KiB, clamped to CellBytes; negative disables the
-	// fastboxes so every message takes the shared queue).
+	// (default 1 KiB, clamped to CellBytes and to the slot's inline
+	// capacity; negative disables the fastboxes so every message takes
+	// the shared queue).
 	FastboxBytes int
 	// SenderCopy controls the dual-copy half of the pipelined
 	// rendezvous — a waiting sender claiming chunks alongside the
@@ -64,6 +65,12 @@ type Config struct {
 	// single-P runtime (where the "help" is pure scheduling
 	// interference), 1 forces it on, -1 forces it off.
 	SenderCopy int
+	// Procs is how many Ps the world may treat as its own (0 or more
+	// than GOMAXPROCS = GOMAXPROCS). Waiting ranks poll bare only when
+	// every rank has one (see Rank.busyPoll); an embedder that runs other
+	// CPU-bound work beside the world, like knemd's sim pool, sets it to
+	// the cores it reserved for the world.
+	Procs int
 	// NodeOf maps each rank to its cluster node (nil or empty = one
 	// node). Cross-node pairs model a network path: the per-pair
 	// fastboxes and the single-copy rendezvous are shared-memory fast
@@ -103,9 +110,7 @@ func (c Config) withDefaults() Config {
 	case c.FastboxBytes < 0:
 		c.FastboxBytes = 0 // disabled
 	}
-	if c.FastboxBytes > c.CellBytes {
-		c.FastboxBytes = c.CellBytes
-	}
+	c.FastboxBytes = min(c.FastboxBytes, c.CellBytes, fastboxInline)
 	if c.SenderCopy == 0 {
 		if runtime.GOMAXPROCS(0) > 1 {
 			c.SenderCopy = 1
@@ -137,7 +142,15 @@ type World struct {
 	cancelc   chan struct{}
 	cancelled atomic.Bool
 
-	// Stats (atomic; read after Run returns).
+	// pollOK is the static half of the busy-poll policy (Rank.busyPoll):
+	// more than one P the world may treat as its own (Config.Procs), one
+	// for every rank, and no offload copiers competing with the ranks for
+	// them.
+	pollOK bool
+
+	// Protocol-path statistics. Each rank counts into its own private
+	// fields while it runs; Run and RunCtx add them in here after the
+	// ranks join, so read these after Run returns.
 	EagerMsgs   atomic.Int64
 	RndvMsgs    atomic.Int64
 	FastboxMsgs atomic.Int64 // eager messages that took a fastbox
@@ -159,8 +172,13 @@ func NewWorld(n int, cfg Config) *World {
 		panic(fmt.Sprintf("rt: NodeOf has %d entries for %d ranks", len(cfg.NodeOf), n))
 	}
 	cfg = cfg.withDefaults()
+	procs := runtime.GOMAXPROCS(0)
+	if cfg.Procs > 0 {
+		procs = min(procs, cfg.Procs)
+	}
 	w := &World{cfg: cfg, copyq: make(chan copyJob, 128),
-		cancelc: make(chan struct{}), start: time.Now()}
+		cancelc: make(chan struct{}), start: time.Now(),
+		pollOK: procs > 1 && n <= procs && cfg.Large != Offload}
 	for r := 0; r < n; r++ {
 		w.ranks = append(w.ranks, newRank(w, r, n))
 	}
@@ -264,6 +282,7 @@ func (w *World) RunCtx(ctx context.Context, app func(r *Rank)) error {
 	wg.Wait()
 	unhook()
 	w.Close()
+	w.foldStats()
 	w.reclaim()
 	select {
 	case p := <-panics:
@@ -282,6 +301,20 @@ func (w *World) RunCtx(ctx context.Context, app func(r *Rank)) error {
 		return fmt.Errorf("rt: job cancelled: %w\n%s", err, d)
 	}
 	return nil
+}
+
+// foldStats adds every rank's private protocol counters into the World's
+// and zeroes them. Post-join only, like reclaim.
+func (w *World) foldStats() {
+	for _, r := range w.ranks {
+		s := r.stats
+		w.EagerMsgs.Add(s.eager)
+		w.RndvMsgs.Add(s.rndv)
+		w.FastboxMsgs.Add(s.fastbox)
+		w.NetMsgs.Add(s.net)
+		w.BytesMoved.Add(s.bytes)
+		r.stats = rankStats{}
+	}
 }
 
 // reclaim returns every in-flight envelope to its home pool after the

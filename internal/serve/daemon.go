@@ -316,7 +316,7 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 func (d *Daemon) dispatch(id string, c api.Spec, key string) error {
 	var demand quota.Res
 	if c.Class() == api.ClassRT {
-		demand = quota.Res{Cores: 1}
+		demand = quota.Res{Cores: rtJobCores}
 	}
 	return d.sched.Submit(scheduler.Job{
 		ID:       id,

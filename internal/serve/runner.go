@@ -41,6 +41,13 @@ func (p *rtProbe) enter() {
 
 func (p *rtProbe) exit() { p.inFlight.Add(-1) }
 
+// rtJobCores is the core quota one rt-class job reserves, and so the
+// number of Ps its world may treat as its own (rt.Config.Procs): the sim
+// pool keeps running on the other Ps, so a world whose ranks outnumber
+// its reserved cores yields between polls rather than spinning against
+// sim work for a P.
+const rtJobCores = 1
+
 // Execute runs one canonical spec to completion and returns its artefact
 // files. Both kinds honour ctx mid-run: comm-kind jobs are cut by their
 // engines (which embed a per-rank state dump in the error), and
@@ -83,6 +90,7 @@ func executeExperiment(ctx context.Context, spec api.Spec) (map[string][]byte, e
 	// One worker: the daemon's own pool provides the parallelism, and
 	// experiment artefacts are byte-identical at any width anyway.
 	env.Workers = 1
+	env.RTProcs = rtJobCores
 	res, err := experiments.Run(ctx, spec.Experiment, env)
 	if err != nil {
 		return nil, err
@@ -105,6 +113,7 @@ func executeComm(ctx context.Context, spec api.Spec, probe *rtProbe) (map[string
 	if err != nil {
 		return nil, err
 	}
+	cspec.RTProcs = rtJobCores
 	// The deadline is not part of the cache key, so it must not be part of
 	// the artefact either: cached repeats with a different deadline would
 	// otherwise diverge byte-wise from a direct run.
