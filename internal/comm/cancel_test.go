@@ -168,6 +168,32 @@ func TestCancelQuiescenceRT(t *testing.T) {
 	waitQuiesced(t, before)
 }
 
+// A panic inside a sim process reaches RunCtx's caller, and only after the
+// engine has reaped every other process: a rank parked in a receive leaves
+// no coroutine behind.
+func TestRunCtxSimPanicReapsProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	job, err := comm.NewJob("sim", comm.JobSpec{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "rank 1 detonated" {
+				t.Fatalf("recovered %v, want the rank's panic", r)
+			}
+		}()
+		job.RunCtx(context.Background(), func(c comm.Peer) {
+			if c.Rank() == 1 {
+				panic("rank 1 detonated")
+			}
+			c.Recv(1, 9, comm.Whole(c.Alloc(64))) // never sent
+		})
+		t.Fatal("RunCtx returned without the rank's panic")
+	}()
+	waitQuiesced(t, before)
+}
+
 // waitQuiesced polls until the goroutine count returns to the baseline
 // (retrying: exiting goroutines retire asynchronously).
 func waitQuiesced(t *testing.T, baseline int) {

@@ -164,7 +164,9 @@ func (j *simJob) Run(app func(p comm.Peer)) error {
 // RunUntil clears the flag at entry); the dump is taken after the loop has
 // returned — on this goroutine, so it races nothing — and Terminate then
 // force-unwinds every remaining process. Terminate also runs after normal
-// completion, reaping perturbation daemons parked mid-sleep.
+// completion, reaping perturbation daemons parked mid-sleep, and before a
+// panic out of a process or the engine is re-raised, so no parked process
+// coroutine outlives the job.
 func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sim: job cancelled before start: %w", err)
@@ -181,6 +183,14 @@ func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 			}
 		}
 	})
+	defer func() {
+		if r := recover(); r != nil {
+			close(done)
+			stopWatch()
+			eng.Terminate()
+			panic(r)
+		}
+	}()
 	_, err := j.w.Run(func(c *Comm) {
 		var p comm.Peer = &simPeer{c: c}
 		if j.hier {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"knemesis/internal/comm"
 	"knemesis/internal/experiments"
 	"knemesis/internal/serve/api"
 	"knemesis/internal/serve/store"
@@ -48,6 +49,22 @@ func init() {
 				panic("transient flake")
 			}
 			return testResult{name: "test-flaky-once"}, nil
+		},
+	})
+	experiments.RegisterExperiment(experiments.Experiment{
+		ID: "test-sim-panic", Title: "serve test: a simulated process panics", Order: 99,
+		Run: func(ctx context.Context, env experiments.Env) (experiments.Result, error) {
+			job, err := comm.NewJob("sim", comm.JobSpec{Ranks: 2})
+			if err != nil {
+				return nil, err
+			}
+			err = job.RunCtx(ctx, func(p comm.Peer) {
+				if p.Rank() == 1 {
+					panic("sim process detonated")
+				}
+				p.Recv(1, 0, comm.Whole(p.Alloc(64)))
+			})
+			return testResult{name: "test-sim-panic"}, err
 		},
 	})
 }
@@ -342,6 +359,29 @@ func TestRepeatedPanicsQuarantineSpec(t *testing.T) {
 	}
 	if rec := await(t, d, ok.ID); rec.State != store.Done {
 		t.Fatalf("healthy job after quarantine finished %s: %s", rec.State, rec.Error)
+	}
+}
+
+// TestSimProcessPanicFailsOnlyItsJob: a panic inside a simulated process
+// (running on the process's coroutine, not on the job's goroutine) crosses
+// Execute's panic boundary like any engine panic: the job fails carrying the
+// panic, and the daemon keeps serving.
+func TestSimProcessPanicFailsOnlyItsJob(t *testing.T) {
+	d := newTestDaemon(t, Config{SimWorkers: 1, RetryMax: -1})
+	rec, err := d.Submit(api.Spec{Kind: api.KindExperiment, Experiment: "test-sim-panic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = await(t, d, rec.ID)
+	if rec.State != store.Failed || !strings.Contains(rec.Error, "panic: sim process detonated") {
+		t.Fatalf("panicking sim job finished %s: %s", rec.State, rec.Error)
+	}
+	ok, err := d.Submit(tinySpec(units.KiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := await(t, d, ok.ID); rec.State != store.Done {
+		t.Fatalf("job after the sim panic finished %s: %s", rec.State, rec.Error)
 	}
 }
 

@@ -337,18 +337,26 @@ func (e *Engine) LiveProcs() int { return int(e.liveProc.Load()) }
 // Terminate; the spawn wrapper recovers exactly this type.
 type procKilled struct{}
 
-// Terminate force-unwinds every process that has not finished: each parked
-// goroutine is woken once, abandons its work by panicking procKilled out of
-// park (running deferred cleanup on the way), and is reaped. Call it only
-// after Run/RunUntil has returned (every live process is then parked at its
-// resume handshake); afterwards the engine cannot run again.
+// Terminate force-unwinds every process that has not finished. An unstarted
+// process is stopped without ever running; a parked one is woken once,
+// abandons its work by panicking procKilled out of park (running deferred
+// cleanup on the way) and ends; one whose coroutine already ended in a panic
+// is marked done. Call it only after Run/RunUntil has returned or panicked;
+// afterwards the engine cannot run again.
 func (e *Engine) Terminate() {
 	e.stopped.Store(true)
 	e.terminating.Store(true)
 	for _, p := range e.procs {
+		if p.done {
+			continue
+		}
+		if !p.started {
+			p.stop()
+			p.finish()
+			continue
+		}
 		for !p.done {
-			p.resume <- struct{}{}
-			<-p.yield
+			p.wake()
 		}
 	}
 	e.terminating.Store(false)

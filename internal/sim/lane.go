@@ -72,6 +72,7 @@ type lane struct {
 	provSeq  uint64 // provisional sequence numbers handed out this round
 	provIdx  []int  // provisional id -> log index, built at the barrier
 	pos      int    // merge cursor
+	panicked any    // value recovered from the lane's worker, re-raised at the barrier
 }
 
 // logEntry records one executed lane event and the range of children it
@@ -259,10 +260,20 @@ func (e *Engine) laneRound(t0 Time, limit Time) {
 			wg.Add(1)
 			go func(ln *lane) {
 				defer wg.Done()
+				// A process panic would otherwise kill the program from
+				// this worker; hand it to the coordinator instead, so it
+				// surfaces from Run like a serial-mode panic.
+				defer func() { ln.panicked = recover() }()
 				ln.run()
 			}(ln)
 		}
 		wg.Wait()
+		for _, ln := range active {
+			if r := ln.panicked; r != nil {
+				ln.panicked = nil
+				panic(r)
+			}
+		}
 	}
 	e.roundActive.Store(false)
 

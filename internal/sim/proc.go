@@ -1,10 +1,20 @@
+//go:build go1.23
+
+// The build tag raises this file's language version to go1.23 for iter.Pull
+// while go.mod stays at go 1.22: the perfbench module's go.mod is frozen at
+// go 1.22 and requires this module, and a root go.mod above its own version
+// makes its build fail with "updates to go.mod needed".
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that advances simulated time by
-// blocking on the engine. All Proc methods must be called from the process's
-// own goroutine (that is, from within the function passed to Spawn).
+// Proc is a simulated process: a coroutine that advances simulated time by
+// blocking on the engine. All Proc methods must be called from inside the
+// process (that is, from within the function passed to Spawn).
 //
 // A process is homed on a domain. Machine-homed processes (the default) may
 // use every engine primitive; while homed on a lane (between Enter and
@@ -21,17 +31,20 @@ type Proc struct {
 	// dom is the process's home domain; wake events fire there.
 	dom Domain
 	// laneCtx is the lane the process is currently executing on (nil in
-	// machine context or serial mode). Set by wake before the control
-	// transfer, so the process goroutine observes it via the channel
-	// handshake.
+	// machine context or serial mode). Set by wake before the switch into
+	// the coroutine.
 	laneCtx *lane
 
-	// resume and yield are the per-process control-transfer pair: wakers
-	// send on resume and wait on yield; the process parks by sending on
-	// yield and waiting on resume. Per-process (rather than engine-global)
-	// channels let lane workers resume their processes concurrently.
-	resume chan struct{}
-	yield  chan struct{}
+	// next, stop and yield are the process's iter.Pull coroutine: the
+	// executor owning the wake event resumes it with next (lane workers
+	// may do so from their own goroutines — iter.Pull forbids only
+	// concurrent resumption), and the process parks by calling yield.
+	// All three are cleared once the process is done: they reference fn
+	// and everything it captured, and the engine keeps every Proc of a
+	// run in its process table.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	started   bool
 	done      bool
@@ -51,39 +64,28 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Engine) spawn(start Time, name string, daemon bool, fn func(*Proc)) *Proc {
-	p := &Proc{
-		eng: e, name: name, pid: e.nextPID, daemon: daemon,
-		resume: make(chan struct{}), yield: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, pid: e.nextPID, daemon: daemon}
 	p.wakeFn = p.wake
 	e.nextPID++
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.liveProc.Add(1)
 	}
-	go func() {
-		<-p.resume // wait for the start event
-		if !e.terminating.Load() {
-			// During Terminate a parked process panics procKilled out of
-			// park; recover exactly that (deferred cleanup has already run
-			// on the unwind) and fall through to the reaping handshake.
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(procKilled); !ok {
-							panic(r)
-						}
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.done = true
-		if !daemon {
-			e.liveProc.Add(-1)
-		}
-		p.yield <- struct{}{}
-	}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// During Terminate a parked process panics procKilled out of park;
+		// recover exactly that (deferred cleanup has already run on the
+		// unwind) so the coroutine ends normally. Any other panic ends the
+		// coroutine and is re-raised by the next() call that resumed it.
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(procKilled); !ok {
+					panic(r)
+				}
+			}
+		}()
+		fn(p)
+	})
 	e.Schedule(start, func() {
 		p.started = true
 		p.wake()
@@ -103,27 +105,38 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return e.spawn(e.now, name, true, fn)
 }
 
-// wake transfers control to the process goroutine and returns when it parks
-// again (or finishes). It must be called from the executor owning the
-// process's wake event: the engine loop for machine-homed processes, the
-// lane worker for lane-homed ones.
+// wake switches into the process coroutine and returns when it parks again
+// or ends. It must be called from the executor owning the process's wake
+// event: the engine loop for machine-homed processes, the lane worker for
+// lane-homed ones. A panic inside the process propagates out of wake, and
+// the coroutine is then over: Terminate finishes it.
 func (p *Proc) wake() {
 	if p.dom != DomainMachine && !p.eng.serial {
 		p.laneCtx = p.eng.lanes[p.dom-1]
 	} else {
 		p.laneCtx = nil
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	if _, ok := p.next(); !ok {
+		p.finish()
+	}
 }
 
-// park returns control to the executor until the process is woken.
-// reason is recorded for deadlock diagnostics.
+// finish marks an ended process done and drops its coroutine, so a
+// finished process pins nothing it captured.
+func (p *Proc) finish() {
+	p.done = true
+	p.next, p.stop, p.yield = nil, nil, nil
+	if !p.daemon {
+		p.eng.liveProc.Add(-1)
+	}
+}
+
+// park switches back to the executor until the process is woken. reason is
+// recorded for deadlock diagnostics. A park resumed by Terminate (or by a
+// stopped coroutine) unwinds the process with procKilled instead.
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.eng.terminating.Load() {
+	if !p.yield(struct{}{}) || p.eng.terminating.Load() {
 		panic(procKilled{})
 	}
 	p.blockedOn = ""

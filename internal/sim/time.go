@@ -1,8 +1,8 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated processes are ordinary goroutines that cooperate with the engine:
-// exactly one goroutine (either the engine loop or a single process) runs at
-// any instant, so simulations are sequential and fully deterministic. Events
+// Simulated processes are coroutines (iter.Pull) that cooperate with the
+// engine: exactly one of the engine loop or a single process runs at any
+// instant, so simulations are sequential and fully deterministic. Events
 // scheduled for the same simulated time fire in scheduling order.
 //
 // The package also provides the synchronization primitives the rest of the
