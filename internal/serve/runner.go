@@ -41,11 +41,10 @@ func (p *rtProbe) enter() {
 
 func (p *rtProbe) exit() { p.inFlight.Add(-1) }
 
-// rtJobCores is the core quota one rt-class job reserves, and so the
-// number of Ps its world may treat as its own (rt.Config.Procs): the sim
-// pool keeps running on the other Ps, so a world whose ranks outnumber
-// its reserved cores yields between polls rather than spinning against
-// sim work for a P.
+// rtJobCores is the number of Ps an rt-class job's world may treat as its
+// own (rt.Config.Procs). The scheduler runs one rt job at a time beside the
+// sim pool, which keeps the other Ps busy, so a world whose ranks outnumber
+// this yields between polls rather than spinning against sim work for a P.
 const rtJobCores = 1
 
 // Execute runs one canonical spec to completion and returns its artefact

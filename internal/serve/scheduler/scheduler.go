@@ -1,10 +1,10 @@
 // Package scheduler is knemd's admission controller. Jobs arrive in one of
 // two resource classes: sim jobs fan out across a bounded worker pool,
 // while rt jobs — whose wall-clock numbers are only honest on quiet
-// cores — are admitted one at a time onto a reserved core/memory quota via
-// a first-fit-decreasing packer. The queue is capped; submissions beyond
-// the cap are shed with ErrQueueFull so the daemon can answer 429 instead
-// of building an unbounded backlog.
+// cores — are admitted one at a time. Admission scans the queue in FIFO
+// order, skipping jobs whose class is at capacity. The queue is capped;
+// submissions beyond the cap are shed with ErrQueueFull so the daemon can
+// answer 429 instead of building an unbounded backlog.
 //
 // The scheduler has no dispatcher goroutine: admission decisions run under
 // the lock from Submit, job completion and Cancel, so there is no window
@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"knemesis/internal/serve/quota"
 )
 
 // Submission errors.
@@ -39,8 +37,6 @@ const (
 // Config sizes a Scheduler. Zero values select the defaults noted inline.
 type Config struct {
 	SimWorkers int           // concurrently running sim jobs (default 4)
-	RTCores    int           // core quota reserved for rt jobs (default 1)
-	RTMemBytes int64         // memory quota for rt jobs (default 1 GiB)
 	QueueCap   int           // max queued (not yet running) jobs (default 64)
 	Deadline   time.Duration // per-job deadline when the job sets none (default none)
 
@@ -58,7 +54,6 @@ type Config struct {
 type Job struct {
 	ID       string
 	Class    string        // ClassSim | ClassRT
-	Demand   quota.Res     // rt only: cores/memory to reserve
 	Deadline time.Duration // 0 = Config.Deadline
 	Run      func(ctx context.Context) error
 }
@@ -71,28 +66,28 @@ type jobState struct {
 
 // Stats is a point-in-time scheduler snapshot.
 type Stats struct {
-	Queued     int
-	Running    int
-	Submitted  int64
-	Shed       int64
-	RTMax      int64 // high-water mark of concurrently running rt jobs
-	RTCapacity quota.Res
-	RTUsed     quota.Res
+	Queued    int
+	Running   int
+	Submitted int64
+	Shed      int64
+	RTMax     int64 // high-water mark of concurrently running rt jobs
 }
 
 // Scheduler admits, runs, cancels and drains jobs.
 type Scheduler struct {
 	cfg Config
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled on any running-set shrink (Drain waits on it)
-	queue    []*jobState
-	running  map[string]*jobState
-	packer   *quota.Packer
-	simRun   int
-	rtRun    int
-	rtMax    int64
-	draining bool
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled when a job's OnFinish returns (Drain waits on it)
+	queue   []*jobState
+	running map[string]*jobState
+	simRun  int
+	// finishing counts jobs out of the running set whose OnFinish has not
+	// returned yet; Drain waits for them too.
+	finishing int
+	rtRun     int
+	rtMax     int64
+	draining  bool
 
 	submitted int64
 	shed      int64
@@ -103,19 +98,12 @@ func New(cfg Config) *Scheduler {
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = 4
 	}
-	if cfg.RTCores <= 0 {
-		cfg.RTCores = 1
-	}
-	if cfg.RTMemBytes <= 0 {
-		cfg.RTMemBytes = 1 << 30
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
 	s := &Scheduler{
 		cfg:     cfg,
 		running: make(map[string]*jobState),
-		packer:  quota.New(quota.Res{Cores: cfg.RTCores, MemBytes: cfg.RTMemBytes}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -123,8 +111,7 @@ func New(cfg Config) *Scheduler {
 
 // Submit queues a job and admits as much of the backlog as now fits. A
 // full queue sheds with ErrQueueFull; a draining scheduler rejects with
-// ErrDraining; an rt demand beyond the reserved quota can never run and is
-// rejected outright.
+// ErrDraining.
 func (s *Scheduler) Submit(j Job) error {
 	if j.Run == nil {
 		return fmt.Errorf("scheduler: job %s has no Run", j.ID)
@@ -134,16 +121,6 @@ func (s *Scheduler) Submit(j Job) error {
 	default:
 		return fmt.Errorf("scheduler: job %s has unknown class %q", j.ID, j.Class)
 	}
-	if j.Class == ClassRT {
-		if j.Demand == (quota.Res{}) {
-			j.Demand = quota.Res{Cores: 1}
-		}
-		if !s.packer.Satisfiable(j.Demand) {
-			return fmt.Errorf("scheduler: job %s demands %+v beyond the rt quota %+v",
-				j.ID, j.Demand, s.packer.Capacity())
-		}
-	}
-
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -164,9 +141,7 @@ func (s *Scheduler) Submit(j Job) error {
 
 // admitLocked moves every currently admittable job from the queue to the
 // running set and returns them; the caller fires callbacks and goroutines
-// after unlocking. Within each class, candidates are considered in
-// first-fit-decreasing order (FIFO among equals), so a large rt job is not
-// starved behind a stream of small ones.
+// after unlocking.
 func (s *Scheduler) admitLocked() []*jobState {
 	var admitted []*jobState
 	for {
@@ -175,7 +150,6 @@ func (s *Scheduler) admitLocked() []*jobState {
 			return admitted
 		}
 		if js.job.Class == ClassRT {
-			s.packer.Acquire(js.job.Demand)
 			s.rtRun++
 			if int64(s.rtRun) > s.rtMax {
 				s.rtMax = int64(s.rtRun)
@@ -188,23 +162,16 @@ func (s *Scheduler) admitLocked() []*jobState {
 	}
 }
 
-// pickLocked selects the next admittable queued job, or nil.
+// pickLocked selects the oldest queued job whose class has room, or nil.
 func (s *Scheduler) pickLocked() *jobState {
-	demands := make([]quota.Res, len(s.queue))
 	for i, js := range s.queue {
-		demands[i] = js.job.Demand
-	}
-	for _, i := range quota.OrderFFD(demands) {
-		js := s.queue[i]
 		switch js.job.Class {
 		case ClassSim:
 			if s.simRun >= s.cfg.SimWorkers {
 				continue
 			}
 		case ClassRT:
-			// One rt job at a time, and only when its demand fits the
-			// remaining quota.
-			if s.rtRun > 0 || !s.packer.Fit(js.job.Demand) {
+			if s.rtRun > 0 { // one rt job at a time
 				continue
 			}
 		}
@@ -263,23 +230,26 @@ func (s *Scheduler) run(js *jobState) {
 
 	s.mu.Lock()
 	if js.job.Class == ClassRT {
-		s.packer.Release(js.job.Demand)
 		s.rtRun--
 	} else {
 		s.simRun--
 	}
 	delete(s.running, js.job.ID)
+	s.finishing++
 	cancelled := js.cancelRequested
 	var admitted []*jobState
 	if !s.draining {
 		admitted = s.admitLocked()
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	if s.cfg.OnFinish != nil {
 		s.cfg.OnFinish(js.job.ID, err, cancelled)
 	}
+	s.mu.Lock()
+	s.finishing--
+	s.cond.Broadcast()
+	s.mu.Unlock()
 	s.notifyAdmitted(admitted)
 }
 
@@ -315,7 +285,8 @@ func (s *Scheduler) Cancel(id string) bool {
 // Drain performs a graceful shutdown: new submissions are rejected, every
 // still-queued job is cancelled, and running jobs are left to finish. If
 // ctx expires first, the stragglers' contexts are cut and Drain keeps
-// waiting for their Runs to return.
+// waiting for their Runs to return. Drain returns only after every
+// running job's OnFinish has returned, so the caller sees final states.
 func (s *Scheduler) Drain(ctx context.Context) {
 	s.mu.Lock()
 	s.draining = true
@@ -331,7 +302,7 @@ func (s *Scheduler) Drain(ctx context.Context) {
 	done := make(chan struct{})
 	go func() {
 		s.mu.Lock()
-		for len(s.running) > 0 {
+		for len(s.running) > 0 || s.finishing > 0 {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
@@ -358,12 +329,10 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Queued:     len(s.queue),
-		Running:    len(s.running),
-		Submitted:  s.submitted,
-		Shed:       s.shed,
-		RTMax:      s.rtMax,
-		RTCapacity: s.packer.Capacity(),
-		RTUsed:     s.packer.Used(),
+		Queued:    len(s.queue),
+		Running:   len(s.running),
+		Submitted: s.submitted,
+		Shed:      s.shed,
+		RTMax:     s.rtMax,
 	}
 }
